@@ -1,7 +1,7 @@
-# CI entry points. `make ci` is the gate a change must pass: static
-# checks, a full build, the whole module under the race detector (with
-# the short corpus — the service layer runs concurrent sessions, so
-# every package rides along), the full tier-1 test suite, and a
+# CI entry points. `make ci` is the gate a change must pass: formatting
+# and static checks, a full build, the whole module under the race
+# detector (with the short corpus — the service layer runs concurrent
+# sessions, so every package rides along), the full tier-1 test suite, and a
 # one-iteration benchmark smoke so the hot path cannot silently stop
 # compiling or regress to pathological cost.
 
@@ -9,9 +9,13 @@ GO ?= go
 BENCH_LABEL ?= $(shell date -u +%Y-%m-%d)
 SOAK_DURATION ?= 30s
 
-.PHONY: ci vet build race test bench bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke parsim-smoke stream-smoke matrix-smoke soak-smoke results
+.PHONY: ci fmt vet build race test bench bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke parsim-smoke stream-smoke matrix-smoke soak-smoke results
 
-ci: vet build race test bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke parsim-smoke stream-smoke matrix-smoke
+ci: fmt vet build race test bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke parsim-smoke stream-smoke matrix-smoke
+
+# Every Go file in the tree must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -36,10 +40,11 @@ test:
 soak-smoke:
 	COBRAD_SOAK=$(SOAK_DURATION) $(GO) test -race -run TestSoak -v ./internal/serve/
 
-# Full benchmark suite at -benchtime 1x with allocation stats, recorded
-# into the BENCH.json perf ledger under $(BENCH_LABEL).
+# Full benchmark suite at -benchtime 1x with allocation stats, plus the
+# build-cache session layer benchmark (internal/workload), recorded into
+# the BENCH.json perf ledger under $(BENCH_LABEL).
 bench:
-	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . \
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' . ./internal/workload \
 		| $(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)" -out BENCH.json
 
 # One cheap iteration of the core throughput benchmark: a compile+run

@@ -53,8 +53,8 @@ func main() {
 		bindNode  = flag.Int("bind-node", 0, "home node for -placement bind")
 		affinity  = flag.String("affinity", "", `thread-to-CPU pinning "cpu,cpu,..." (one per thread; default identity)`)
 		migrate   = flag.String("migrate", "", `mid-run CPU migration "cycle:cpu:node"`)
-		simw     = flag.Int("sim-workers", 0, "simulator worker goroutines (parallel window engine; 0/1 = serial, byte-identical results)")
-		patches  = flag.Bool("show-patches", false, "list the binary patches COBRA deployed")
+		simw      = flag.Int("sim-workers", 0, "simulator worker goroutines (parallel window engine; 0/1 = serial, byte-identical results)")
+		patches   = flag.Bool("show-patches", false, "list the binary patches COBRA deployed")
 
 		traceFile    = flag.String("trace", "", "write a cycle-domain Chrome trace_event JSON to FILE (Perfetto-loadable)")
 		traceSamples = flag.Bool("trace-samples", false, "with -trace: one instant event per perfmon sample (dense)")

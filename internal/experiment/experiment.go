@@ -191,7 +191,9 @@ func daxpyJob(cache *workload.BuildCache, ws int64, threads, reps int, v workloa
 			if _, err := workload.ApplyVariant(inst, v); err != nil {
 				return workload.Measurement{}, err
 			}
-			return inst.Measure()
+			meas, err := inst.Measure()
+			inst.Release()
+			return meas, err
 		},
 	}
 	if withObs {
@@ -376,7 +378,9 @@ func npbJob(cache *workload.BuildCache, machine MachineKind, class npb.Class, na
 			if err != nil {
 				return workload.Measurement{}, err
 			}
-			return inst.Measure()
+			meas, err := inst.Measure()
+			inst.Release()
+			return meas, err
 		},
 	}
 	if withObs {

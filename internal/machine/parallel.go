@@ -125,7 +125,7 @@ type windowCtx struct {
 	groupOp int // first op index of the group currently recording
 	rxCur   int // rebuild pop cursor
 
-	originPC int  // shadow PC when the log began (rebuild start point)
+	originPC int // shadow PC when the log began (rebuild start point)
 	horizon  int64
 	stopped  bool // recording hit an unwindowable op or a fault
 	dirty    bool // shadow is stale; resync from the real CPU first
@@ -249,9 +249,9 @@ type parEngine struct {
 	winStores map[uint64]winWrite
 	commitSeq int64
 
-	work  [][]int // per-worker CPU ids for the current record phase
-	start []chan struct{}
-	quit  chan struct{}
+	work   [][]int // per-worker CPU ids for the current record phase
+	start  []chan struct{}
+	quit   chan struct{}
 	wg     sync.WaitGroup
 	exited sync.WaitGroup
 }

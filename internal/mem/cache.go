@@ -46,6 +46,12 @@ type cache struct {
 	sets      []line // sets[i*assoc : (i+1)*assoc]
 	assoc     int
 	tick      uint64
+
+	// filled lists the sets insert has filled since the cache was built or
+	// last reset. Every other line mutation (LRU touch, invalidate,
+	// downgrade) lands on a valid line and therefore in a filled set, so
+	// reset restores the just-built state by clearing only these sets.
+	filled []uint32
 }
 
 func newCache(cfg CacheConfig) *cache {
@@ -114,6 +120,11 @@ func (c *cache) insert(addr uint64, state MESIState, readyAt int64) (victim line
 			return line{}, false
 		}
 	}
+	// A set's first fill lands in way 0 and stamps it with a nonzero LRU
+	// tick that only reset clears, so a zero stamp marks an unlisted set.
+	if set[0].lastUse == 0 {
+		c.filled = append(c.filled, uint32(la&c.setMask))
+	}
 	vi, lru := -1, ^uint64(0)
 	for i := range set {
 		if set[i].state == Invalid {
@@ -129,6 +140,17 @@ func (c *cache) insert(addr uint64, state MESIState, readyAt int64) (victim line
 	evicted = v.state != Invalid
 	set[vi] = line{tag: la, state: state, readyAt: readyAt, lastUse: c.tick}
 	return v, evicted
+}
+
+// reset returns the cache to the state newCache builds: every line
+// invalid and zeroed, the LRU tick at zero. It costs the number of sets
+// filled since the last reset, not the size of the cache.
+func (c *cache) reset() {
+	for _, si := range c.filled {
+		clear(c.sets[int(si)*c.assoc : int(si+1)*c.assoc])
+	}
+	c.filled = c.filled[:0]
+	c.tick = 0
 }
 
 // invalidate drops addr and reports whether it was present and whether it

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -121,6 +122,23 @@ func TestCachePeekDoesNotTouchLRU(t *testing.T) {
 	victim, _ := c.insert(x, Shared, 0)
 	if got := c.victimAddr(victim); got != a {
 		t.Fatalf("peek touched LRU: evicted %#x, want %#x", got, a)
+	}
+}
+
+func TestCacheResetMatchesNew(t *testing.T) {
+	c := newCache(testCacheConfig())
+	for i := uint64(0); i < 64; i++ {
+		c.insert(0x10000+i*0x280, Modified, int64(i))
+		c.lookup(0x10000 + i*0x100)
+	}
+	c.invalidate(0x10000)
+	c.reset()
+	fresh := newCache(testCacheConfig())
+	if !reflect.DeepEqual(c.sets, fresh.sets) || c.tick != fresh.tick || len(c.filled) != 0 {
+		t.Fatal("reset cache differs from a new one")
+	}
+	if v, evicted := c.insert(0x10000, Shared, 0); evicted || v != (line{}) {
+		t.Fatalf("insert after reset evicted %+v", v)
 	}
 }
 

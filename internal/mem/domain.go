@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Config describes one coherent machine memory system.
 type Config struct {
@@ -212,6 +215,77 @@ type hierarchy struct {
 	mshr []int64 // completion times of outstanding fills
 }
 
+func newHierarchy(g geometry, cpu int) *hierarchy {
+	return &hierarchy{
+		cpu:  cpu,
+		l1:   newCache(g.l1),
+		l2:   newCache(g.l2),
+		l3:   newCache(g.l3),
+		mshr: make([]int64, g.mshrs),
+	}
+}
+
+// reset makes h identical to newHierarchy's result for cpu.
+func (h *hierarchy) reset(cpu int) {
+	h.cpu = cpu
+	h.l1.reset()
+	h.l2.reset()
+	h.l3.reset()
+	clear(h.mshr)
+}
+
+// geometry is everything a hierarchy's layout depends on; hierarchies of
+// equal geometry are interchangeable once reset.
+type geometry struct {
+	l1, l2, l3 CacheConfig
+	mshrs      int
+}
+
+func geometryOf(cfg Config) geometry {
+	return geometry{l1: cfg.L1D, l2: cfg.L2, l3: cfg.L3, mshrs: cfg.MSHRs}
+}
+
+// maxFreePerGeometry bounds the hierarchies kept idle per geometry: one
+// 4-way machine's worth, so a worker running back-to-back sessions hands
+// its caches straight to the next one, while idle arrays stay a few MB
+// (an Altix hierarchy is ~0.85 MB). Unbounded, a burst of wide machines
+// would pin its peak cache footprint for the life of the process.
+const maxFreePerGeometry = 4
+
+// freeHierarchies is the process-wide free list Domain.Release feeds and
+// NewDomain draws from, keyed by geometry. Like a sync.Pool, it is shared
+// state no caller can observe: a recycled hierarchy is reset to exactly
+// the state of a new one.
+var freeHierarchies = struct {
+	sync.Mutex
+	byGeom map[geometry][]*hierarchy
+}{byGeom: map[geometry][]*hierarchy{}}
+
+// takeHierarchies moves up to n released hierarchies of geometry g onto
+// dst; the caller resets them before use.
+func takeHierarchies(dst []*hierarchy, g geometry, n int) []*hierarchy {
+	f := &freeHierarchies
+	f.Lock()
+	defer f.Unlock()
+	free := f.byGeom[g]
+	k := max(len(free)-n, 0)
+	dst = append(dst, free[k:]...)
+	clear(free[k:])
+	f.byGeom[g] = free[:k]
+	return dst
+}
+
+// putHierarchies offers released hierarchies of geometry g to the free
+// list, dropping those beyond its bound.
+func putHierarchies(g geometry, hs []*hierarchy) {
+	f := &freeHierarchies
+	f.Lock()
+	defer f.Unlock()
+	free := f.byGeom[g]
+	room := max(maxFreePerGeometry-len(free), 0)
+	f.byGeom[g] = append(free, hs[:min(room, len(hs))]...)
+}
+
 // Domain is the coherent memory system: all CPUs' cache hierarchies, the
 // interconnect, and the backing memory, with MESI state kept consistent by
 // snooping on every transaction.
@@ -247,16 +321,32 @@ func NewDomain(cfg Config, m *Memory) (*Domain, error) {
 		stats:    make([]CPUStats, cfg.NumCPUs),
 		lineMask: ^uint64(cfg.L2.LineBytes - 1),
 	}
-	for i := 0; i < cfg.NumCPUs; i++ {
-		d.hiers = append(d.hiers, &hierarchy{
-			cpu:  i,
-			l1:   newCache(cfg.L1D),
-			l2:   newCache(cfg.L2),
-			l3:   newCache(cfg.L3),
-			mshr: make([]int64, cfg.MSHRs),
-		})
+	g := geometryOf(cfg)
+	d.hiers = takeHierarchies(make([]*hierarchy, 0, cfg.NumCPUs), g, cfg.NumCPUs)
+	for i, h := range d.hiers {
+		h.reset(i)
+	}
+	for i := len(d.hiers); i < cfg.NumCPUs; i++ {
+		d.hiers = append(d.hiers, newHierarchy(g, i))
 	}
 	return d, nil
+}
+
+// Release hands the domain's cache hierarchies back for reuse by the next
+// NewDomain of the same geometry. It is called once a run's results have
+// been read; counters stay readable, but the domain must not be accessed
+// again — Access and Probe panic instead of touching caches that another
+// domain may now own. A second Release is a no-op.
+//
+// NewDomain resets a recycled hierarchy to exactly the state a fresh one
+// starts in, so a machine built on recycled caches simulates
+// bit-identically to one built on new ones.
+func (d *Domain) Release() {
+	if d.hiers == nil {
+		return
+	}
+	putHierarchies(geometryOf(d.cfg), d.hiers)
+	d.hiers = nil
 }
 
 // Memory returns the backing memory.

@@ -10,9 +10,11 @@ import (
 // in fixed-size chunks on first write, so building a machine with the
 // paper's 256 MB memory costs a pointer array, not a 256 MB clear — machine
 // construction is on the experiment schedulers' per-cell path, and zeroing
-// the full backing store dominated cold-sweep profiles.
+// the full backing store dominated cold-sweep profiles. Chunks are small
+// enough that a few-KiB working set (a short service session) zeroes
+// 64 KiB rather than a whole MiB.
 const (
-	chunkShift = 20 // 1 MB chunks
+	chunkShift = 16 // 64 KiB chunks
 	chunkBytes = 1 << chunkShift
 	chunkMask  = chunkBytes - 1
 )
@@ -26,7 +28,7 @@ const (
 // array behaved.
 type Memory struct {
 	size     uint64
-	chunks   [][]byte // nil until first write to the chunk
+	chunks   []*[chunkBytes]byte // nil until first write to the chunk
 	pageSize uint64
 	home     []int16 // page index -> node, -1 until first touch
 	brk      uint64
@@ -52,7 +54,7 @@ func NewMemory(size, pageSize uint64) *Memory {
 	npages := (size + pageSize - 1) / pageSize
 	m := &Memory{
 		size:     size,
-		chunks:   make([][]byte, (size+chunkMask)>>chunkShift),
+		chunks:   make([]*[chunkBytes]byte, (size+chunkMask)>>chunkShift),
 		pageSize: pageSize,
 		home:     make([]int16, npages),
 		brk:      pageSize, // keep address 0 unmapped to catch null derefs
@@ -118,11 +120,11 @@ func (m *Memory) check(addr uint64, n uint64) {
 }
 
 // chunkFor materializes and returns the chunk containing addr.
-func (m *Memory) chunkFor(addr uint64) []byte {
+func (m *Memory) chunkFor(addr uint64) *[chunkBytes]byte {
 	ci := addr >> chunkShift
 	c := m.chunks[ci]
 	if c == nil {
-		c = make([]byte, chunkBytes)
+		c = new([chunkBytes]byte)
 		m.chunks[ci] = c
 	}
 	return c

@@ -406,6 +406,7 @@ func (s *Server) sessionJob(sess *session) sched.Job[workload.Measurement] {
 				return ctx.Err()
 			}, 0)
 			meas, err := inst.Measure()
+			inst.Release()
 			if err == nil {
 				sess.progressCycles.Store(meas.Cycles)
 			}

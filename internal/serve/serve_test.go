@@ -262,25 +262,14 @@ func TestSessionMatchesBatchPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Service path: same spec over HTTP.
+	// Service path: same spec over HTTP, twice back to back. The second
+	// session runs on the cache hierarchies the first one released, so it
+	// also checks that recycled machine state simulates like new.
 	_, ts := newTestServer(t, Config{Workers: 2})
-	info := submit(t, ts.URL, map[string]any{
-		"workload": spec.Workload, "threads": spec.Threads, "strategy": spec.Strategy,
-		"daxpy_ws": spec.DaxpyWS, "daxpy_reps": spec.DaxpyReps,
-		"artifacts": map[string]bool{"trace": true, "metrics": true, "decisions": true},
-	})
 	wantKey, err := spec.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Key != wantKey {
-		t.Fatalf("session key %s != batch job key %s — ledger namespaces diverged", info.Key, wantKey)
-	}
-	done := waitTerminal(t, ts.URL, info.ID)
-	if done.State != StateDone {
-		t.Fatalf("state = %s (err %q)", done.State, done.Error)
-	}
-
 	get := func(path string) []byte {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil || resp.StatusCode != http.StatusOK {
@@ -290,17 +279,31 @@ func TestSessionMatchesBatchPath(t *testing.T) {
 		resp.Body.Close()
 		return b
 	}
-	if got := get("/sessions/" + info.ID + "/result"); !bytes.Equal(got, batchResult.Bytes()) {
-		t.Errorf("result document differs from batch path:\nservice: %s\nbatch:   %s", got, batchResult.Bytes())
-	}
-	if got := get("/sessions/" + info.ID + "/artifacts/trace"); !bytes.Equal(got, batchTrace.Bytes()) {
-		t.Errorf("trace artifact differs from batch path (%d vs %d bytes)", len(got), batchTrace.Len())
-	}
-	if got := get("/sessions/" + info.ID + "/artifacts/metrics"); !bytes.Equal(got, batchMetrics.Bytes()) {
-		t.Errorf("metrics artifact differs from batch path:\nservice: %s\nbatch:   %s", got, batchMetrics.Bytes())
-	}
-	if got := get("/sessions/" + info.ID + "/artifacts/decisions"); !bytes.Equal(got, batchDecisions.Bytes()) {
-		t.Errorf("decision report differs from batch path (%d vs %d bytes)", len(got), batchDecisions.Len())
+	for round := 1; round <= 2; round++ {
+		info := submit(t, ts.URL, map[string]any{
+			"workload": spec.Workload, "threads": spec.Threads, "strategy": spec.Strategy,
+			"daxpy_ws": spec.DaxpyWS, "daxpy_reps": spec.DaxpyReps,
+			"artifacts": map[string]bool{"trace": true, "metrics": true, "decisions": true},
+		})
+		if info.Key != wantKey {
+			t.Fatalf("session key %s != batch job key %s — ledger namespaces diverged", info.Key, wantKey)
+		}
+		done := waitTerminal(t, ts.URL, info.ID)
+		if done.State != StateDone {
+			t.Fatalf("session %d: state = %s (err %q)", round, done.State, done.Error)
+		}
+		if got := get("/sessions/" + info.ID + "/result"); !bytes.Equal(got, batchResult.Bytes()) {
+			t.Errorf("session %d: result document differs from batch path:\nservice: %s\nbatch:   %s", round, got, batchResult.Bytes())
+		}
+		if got := get("/sessions/" + info.ID + "/artifacts/trace"); !bytes.Equal(got, batchTrace.Bytes()) {
+			t.Errorf("session %d: trace artifact differs from batch path (%d vs %d bytes)", round, len(got), batchTrace.Len())
+		}
+		if got := get("/sessions/" + info.ID + "/artifacts/metrics"); !bytes.Equal(got, batchMetrics.Bytes()) {
+			t.Errorf("session %d: metrics artifact differs from batch path:\nservice: %s\nbatch:   %s", round, got, batchMetrics.Bytes())
+		}
+		if got := get("/sessions/" + info.ID + "/artifacts/decisions"); !bytes.Equal(got, batchDecisions.Bytes()) {
+			t.Errorf("session %d: decision report differs from batch path (%d vs %d bytes)", round, len(got), batchDecisions.Len())
+		}
 	}
 }
 

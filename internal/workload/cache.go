@@ -8,6 +8,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/ia64"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/sched"
 )
 
@@ -100,21 +101,20 @@ func (c *BuildCache) Build(workloadKey string, w *Workload, bc BuildConfig) (*In
 		// Array layout drifted from the cached compile (a workloadKey
 		// collision): the cached code's embedded addresses are wrong for
 		// this memory image, so compile fresh.
+		m.Domain().Release()
 		return Build(w, bc)
 	}
 	return assemble(w, bc, m, e.art.res, bases)
 }
 
-// compileArtifact compiles w into a pristine image. The machine built here
-// exists only to reproduce the deterministic array allocation; it is
-// discarded, and the image is never executed.
+// compileArtifact compiles w into a pristine image. The array allocation
+// is replayed on a bare memory of the machine's size: it depends on
+// nothing else, and a full machine would build every CPU's caches only to
+// drop them. The configuration is validated by the machine.New of every
+// Build that uses the artifact.
 func compileArtifact(w *Workload, bc BuildConfig) (*artifact, error) {
 	img := ia64.NewImage()
-	m, err := machine.New(bc.Machine, img)
-	if err != nil {
-		return nil, err
-	}
-	bases, err := compiler.AllocArrays(m.Memory(), w.Prog)
+	bases, err := compiler.AllocArrays(mem.NewMemory(bc.Machine.Mem.MemBytes, bc.Machine.Mem.PageSize), w.Prog)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/ia64"
@@ -101,5 +102,59 @@ func TestBuildCacheKeySeparatesConfigs(t *testing.T) {
 	}
 	if hits, misses := c.Stats(); hits != 0 || misses != 3 {
 		t.Fatalf("stats = %d hits / %d misses, want 0/3", hits, misses)
+	}
+}
+
+// tinySession is one short service-style session: a build-cache hit, a
+// run and a release of a 16 KiB DAXPY on the 4-CPU Altix configuration.
+func tinySession(c *BuildCache) error {
+	w := Daxpy(DaxpyParams{WorkingSetBytes: 16 << 10, OuterReps: 1})
+	inst, err := c.Build("daxpy-tiny", w, NUMAConfig(4))
+	if err != nil {
+		return err
+	}
+	_, err = inst.Measure()
+	inst.Release()
+	return err
+}
+
+// TestSessionTinyCachedBytes pins what a recycled short session allocates:
+// its machine reuses the caches the previous session released and its
+// memory materializes only the chunks the kernel touches, so it stays far
+// below one Altix CPU's cache arrays (~0.85 MB) let alone four.
+func TestSessionTinyCachedBytes(t *testing.T) {
+	c := NewBuildCache()
+	if err := tinySession(c); err != nil { // compile, and leave caches to recycle
+		t.Fatal(err)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := tinySession(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perSession := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per session", perSession)
+	if perSession >= 512<<10 {
+		t.Fatalf("a cached tiny session allocates %d bytes, want < 512 KiB", perSession)
+	}
+}
+
+// BenchmarkSessionTinyCached times the build-cache clone layer end to end:
+// one cached short session per iteration.
+func BenchmarkSessionTinyCached(b *testing.B) {
+	c := NewBuildCache()
+	if err := tinySession(c); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tinySession(c); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

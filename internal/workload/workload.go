@@ -209,6 +209,14 @@ func (inst *Instance) Run() error {
 	return nil
 }
 
+// Release hands the instance's simulated caches back for reuse by the next
+// machine of the same cache geometry (mem.Domain.Release). Call it once
+// the Measurement is taken — the Measurement is a value copy and the
+// observer's artifacts never read the machine, so both stay valid — and
+// never run the instance again: a simulated memory access after Release
+// panics.
+func (inst *Instance) Release() { inst.Ctx.M.Domain().Release() }
+
 // Measurement is what one run reports: the inputs of every figure.
 type Measurement struct {
 	Name    string
