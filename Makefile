@@ -9,9 +9,9 @@ GO ?= go
 BENCH_LABEL ?= $(shell date -u +%Y-%m-%d)
 SOAK_DURATION ?= 30s
 
-.PHONY: ci fmt vet build race test bench bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke parsim-smoke stream-smoke matrix-smoke soak-smoke results
+.PHONY: ci fmt vet build race test bench bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke fuzz-spec stream-smoke matrix-smoke soak-smoke results
 
-ci: fmt vet build race test bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke parsim-smoke stream-smoke matrix-smoke
+ci: fmt vet build race test bench-smoke trace-smoke fuzz-smoke strategy-smoke layout-smoke fuzz-spec stream-smoke matrix-smoke
 
 # Every Go file in the tree must be gofmt-clean.
 fmt:
@@ -68,18 +68,15 @@ trace-smoke:
 fuzz-smoke:
 	$(GO) run ./cmd/cobra-verify -seed 1 -n 1000 -fault-every 5
 
-# Parallel-simulator gate: the machine and memory packages (the window
-# engine's home) under the race detector, then the trace-smoke artifact
-# regenerated at -sim-workers 4 and byte-compared against a serial run —
-# the end-to-end determinism check the unit tests argue for.
-parsim-smoke:
-	$(GO) test -race -count=1 ./internal/machine/ ./internal/mem/
-	$(GO) run ./cmd/cobra-run -workload phased -strategy adaptive \
-		-trace results/parsim-serial.json > /dev/null
-	$(GO) run ./cmd/cobra-run -workload phased -strategy adaptive \
-		-sim-workers 4 -trace results/parsim-w4.json > /dev/null
-	cmp results/parsim-serial.json results/parsim-w4.json
-	rm -f results/parsim-serial.json results/parsim-w4.json
+# Native Go fuzzing of the session-spec boundary: arbitrary request
+# bodies through strict decode, Normalize, Validate and Key for 10 s,
+# seeded with the soak test's specs (internal/serve/testdata/fuzz).
+# Nothing may panic, an accepted spec must build, and its key must
+# survive a re-encode and ignore sim_workers. A failure leaves the
+# crashing input under testdata/fuzz/FuzzSpec, where plain `go test`
+# replays it.
+fuzz-spec:
+	$(GO) test -run '^$$' -fuzz FuzzSpec -fuzztime 10s ./internal/serve/
 
 # Live-telemetry gate: a phased adaptive session runs against an
 # in-process cobrad with its SSE stream followed to completion under the

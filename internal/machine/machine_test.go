@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -395,6 +396,86 @@ func TestRunAllDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("non-deterministic: %d vs %d cycles", a, b)
+	}
+}
+
+// TestUnalignedLoadsSum: CPU 1's loads are all offset by 4 bytes from
+// 8-byte alignment, and one of them straddles a 64 KiB backing-store chunk
+// boundary, while CPU 0 sums an aligned array alongside it. Both sums must
+// match little-endian reads of the same bytes computed on the host.
+func TestUnalignedLoadsSum(t *testing.T) {
+	img := ia64.NewImage()
+	entry := asmSumLoop(img)
+	m := testMachine(t, img, 2)
+	const n, span = 600, 128 << 10
+	base := m.Memory().MustAlloc("a", span, 64<<10)
+	buf := make([]byte, span)
+	for i := range buf {
+		buf[i] = byte(i*131 + i>>8)
+	}
+	for off := 0; off < span; off += 8 {
+		m.Memory().WriteI64(base+uint64(off), int64(binary.LittleEndian.Uint64(buf[off:])))
+	}
+	hostSum := func(off int) int64 {
+		var sum int64
+		for i := 0; i < n; i++ {
+			sum += int64(binary.LittleEndian.Uint64(buf[off+8*i:]))
+		}
+		return sum
+	}
+	// CPU 1's load 300 starts 4 bytes below the chunk boundary at 64 KiB.
+	starts := []int{0, 64<<10 - 8*300 + 4}
+	for id, off := range starts {
+		addr := base + uint64(off)
+		m.StartThread(id, entry, id+1, func(rf *ia64.RegFile) {
+			rf.SetGR(8, int64(addr))
+			rf.SetGR(10, n-1)
+		})
+	}
+	if _, err := m.RunAll([]int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for id, off := range starts {
+		if got, want := m.CPU(id).RF.GR(9), hostSum(off); got != want {
+			t.Errorf("cpu%d: sum = %d, want %d", id, got, want)
+		}
+	}
+}
+
+// TestRunAllReusable: back-to-back RunAll calls on one machine — the
+// fork-join pattern every workload uses — restart halted CPUs on new
+// trip counts each round. Every round's sums must match the host's, and
+// the clocks must carry over from one round to the next.
+func TestRunAllReusable(t *testing.T) {
+	img := ia64.NewImage()
+	entry := asmSumLoop(img)
+	m := testMachine(t, img, 3)
+	base := m.Memory().MustAlloc("a", 8*512, 128)
+	for i := 0; i < 512; i++ {
+		m.Memory().WriteI64(base+uint64(8*i), int64(i*7))
+	}
+	var last int64
+	for round := 0; round < 3; round++ {
+		for id := 0; id < 3; id++ {
+			cnt := 300 + 17*id + 50*round
+			m.StartThread(id, entry, id+1, func(rf *ia64.RegFile) {
+				rf.SetGR(8, int64(base))
+				rf.SetGR(10, int64(cnt-1))
+			})
+		}
+		if _, err := m.RunAll([]int{0, 1, 2}); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for id := 0; id < 3; id++ {
+			cnt := int64(300 + 17*id + 50*round)
+			if got, want := m.CPU(id).RF.GR(9), 7*cnt*(cnt-1)/2; got != want || !m.CPU(id).Halted {
+				t.Errorf("round %d cpu%d: sum = %d (halted %v), want %d", round, id, got, m.CPU(id).Halted, want)
+			}
+		}
+		if g := m.GlobalCycle(); g <= last {
+			t.Fatalf("round %d: global cycle %d did not advance past %d", round, g, last)
+		}
+		last = m.GlobalCycle()
 	}
 }
 

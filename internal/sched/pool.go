@@ -40,11 +40,15 @@ type PoolOptions struct {
 // (cmd/cobrad) that submit sessions continuously instead of in batches.
 // It shares the batch scheduler's execution path — ledger reuse with
 // corrupt-entry recovery, panic isolation, cancellation before and during
-// execution, never recording a cancelled job as complete.
+// execution, never recording a cancelled job as complete. A job whose key
+// is already executing on the pool waits for that execution and returns
+// its value as a Cached result, so whether a repeat is answered without
+// executing does not depend on whether its twin has finished yet.
 type Pool[T any] struct {
-	opt   PoolOptions
-	queue chan poolItem[T]
-	wg    sync.WaitGroup
+	opt    PoolOptions
+	queue  chan poolItem[T]
+	wg     sync.WaitGroup
+	flight *inflight[T]
 
 	mu     sync.Mutex
 	closed bool
@@ -71,7 +75,7 @@ func NewPool[T any](opt PoolOptions) *Pool[T] {
 	if depth <= 0 {
 		depth = 2 * workers
 	}
-	p := &Pool[T]{opt: opt, queue: make(chan poolItem[T], depth)}
+	p := &Pool[T]{opt: opt, queue: make(chan poolItem[T], depth), flight: &inflight[T]{calls: map[string]*flightCall[T]{}}}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -91,7 +95,7 @@ func (p *Pool[T]) worker() {
 		p.running.Add(1)
 		seq := int(p.seq.Add(1))
 		j := it.job
-		r := executeJob(it.ctx, j, sopt, func() {
+		r := executeJob(it.ctx, j, sopt, p.flight, func() {
 			p.emit(p.opt.Hooks.Started, Event{Seq: seq, Name: j.Name, Key: j.Key})
 		})
 		if r.Cached {

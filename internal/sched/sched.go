@@ -5,11 +5,11 @@
 // regardless of completion order.
 //
 // Each Job carries a content-hash Key identifying the cell (workload ×
-// machine × strategy × scale). The key serves two purposes: jobs submitted
-// with the same key in one Run are executed once and share the result
-// (dedup), and an optional persistent Ledger keyed by job hash lets
-// unchanged cells be skipped entirely across process runs (incremental
-// mode).
+// machine × strategy × scale). The key serves two purposes: jobs with the
+// same key execute once and share the result (dedup — within one Run, and
+// on a Pool for any job whose key is already executing), and an optional
+// persistent Ledger keyed by job hash lets unchanged cells be skipped
+// entirely across process runs (incremental mode).
 package sched
 
 import (
@@ -29,8 +29,10 @@ import (
 type Job[T any] struct {
 	// Key is the content-hash identity of the cell (see KeyOf). Jobs with
 	// equal keys are assumed to produce identical values: within one Run
-	// they execute once, and with a Ledger a previously recorded value is
-	// reused across runs. An empty key disables both behaviours.
+	// they execute once, a job whose key is already executing waits for
+	// that execution and shares its value, and with a Ledger a previously
+	// recorded value is reused across runs. An empty key disables all
+	// three behaviours.
 	Key string
 	// Name is the human-readable label used by progress hooks.
 	Name string
@@ -70,7 +72,7 @@ type Result[T any] struct {
 	Key     string
 	Value   T
 	Err     error
-	Cached  bool          // served from the ledger, not executed
+	Cached  bool          // served from the ledger or an in-flight duplicate, not executed
 	Elapsed time.Duration // execution time (zero when Cached)
 }
 
@@ -90,7 +92,7 @@ type Event struct {
 type Hooks struct {
 	Started  func(Event) // a job began executing
 	Finished func(Event) // a job finished executing (Err set on failure)
-	Cached   func(Event) // a job was skipped: its ledger entry was reused
+	Cached   func(Event) // a job was skipped: a ledger entry or in-flight duplicate answered it
 }
 
 // Options configure one Run.
@@ -117,14 +119,67 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
+// inflight coalesces concurrent executions of one key. The first job to
+// reach a key leads and executes; a job arriving while it runs waits and
+// takes the leader's value as a cached result. A leader that fails,
+// panics or is cancelled publishes nothing, and the first waiter to wake
+// leads a new attempt.
+type inflight[T any] struct {
+	mu    sync.Mutex
+	calls map[string]*flightCall[T]
+}
+
+type flightCall[T any] struct {
+	done    chan struct{} // closed once value and ok are final
+	value   T
+	ok      bool
+	waiters int // followers that joined, which tests wait on; guarded by inflight.mu
+}
+
+// join returns (c, true) when the caller leads key, and (c, false) once a
+// leader succeeded. It returns early, with c nil, when ctx ends.
+func (f *inflight[T]) join(ctx context.Context, key string) (*flightCall[T], bool) {
+	for {
+		f.mu.Lock()
+		c := f.calls[key]
+		if c == nil {
+			c = &flightCall[T]{done: make(chan struct{})}
+			f.calls[key] = c
+			f.mu.Unlock()
+			return c, true
+		}
+		c.waiters++
+		f.mu.Unlock()
+		select {
+		case <-c.done:
+			if c.ok {
+				return c, false
+			}
+		case <-ctx.Done():
+			return nil, false
+		}
+	}
+}
+
+// finish publishes a leader's result and retires its call. It runs after
+// the ledger write, so a job arriving later reads the recorded entry.
+func (f *inflight[T]) finish(key string, c *flightCall[T], r Result[T]) {
+	f.mu.Lock()
+	delete(f.calls, key)
+	f.mu.Unlock()
+	c.value, c.ok = r.Value, r.Err == nil
+	close(c.done)
+}
+
 // executeJob runs one job under jctx with the shared hardening applied:
-// ledger lookup (with corrupt-entry recovery), cancellation before and
-// after execution, panic isolation, the artifact hook, and the ledger
-// write. It is the single execution path shared by the batch Run and the
-// service Pool; hooks and progress counters stay with the callers.
-// onStart, when non-nil, fires exactly when real execution begins — never
-// for a ledger hit or a pre-start cancellation.
-func executeJob[T any](jctx context.Context, j Job[T], opt Options, onStart func()) Result[T] {
+// in-flight dedupe (when flight is non-nil), ledger lookup (with
+// corrupt-entry recovery), cancellation before and after execution, panic
+// isolation, the artifact hook, and the ledger write. It is the single
+// execution path shared by the batch Run and the service Pool; hooks and
+// progress counters stay with the callers. onStart, when non-nil, fires
+// exactly when real execution begins — never for a ledger hit, an
+// in-flight duplicate or a pre-start cancellation.
+func executeJob[T any](jctx context.Context, j Job[T], opt Options, flight *inflight[T], onStart func()) Result[T] {
 	r := Result[T]{Name: j.Name, Key: j.Key}
 	// A job whose context is already done never starts — and is reported
 	// as cancelled even if a ledger entry exists, so callers observe one
@@ -132,6 +187,17 @@ func executeJob[T any](jctx context.Context, j Job[T], opt Options, onStart func
 	if err := jctx.Err(); err != nil {
 		r.Err = err
 		return r
+	}
+	if j.Key != "" && flight != nil {
+		c, lead := flight.join(jctx, j.Key)
+		if !lead {
+			// A follower's own cancellation wins over the leader's answer.
+			if r.Err = jctx.Err(); r.Err == nil {
+				r.Value, r.Cached = c.value, true
+			}
+			return r
+		}
+		defer func() { flight.finish(j.Key, c, r) }()
 	}
 	if j.Key != "" && opt.Ledger != nil {
 		hit, err := opt.Ledger.Get(j.Key, &r.Value)
@@ -245,7 +311,9 @@ func RunContext[T any](ctx context.Context, jobs []Job[T], opt Options) []Result
 			defer wg.Done()
 			for i := range idx {
 				j := jobs[i]
-				r := executeJob(ctx, j, opt, func() {
+				// No in-flight table: the dedup pass above already
+				// leaves one job per key.
+				r := executeJob(ctx, j, opt, nil, func() {
 					mu.Lock()
 					started++
 					emit(opt.Hooks.Started, Event{Seq: started, Total: total, Name: j.Name, Key: j.Key})

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -61,16 +62,11 @@ type Config struct {
 	// namespace cobra-run -incremental uses.
 	LedgerDir string
 	// MaxSessions bounds retained session records (<= 0 means 1024).
-	// Oldest finished sessions are evicted first; if every retained
-	// session is still live, submissions are rejected with 429 — the
-	// memory guard that keeps a hammered server from growing without
+	// Finished sessions are evicted in the order they finished; if every
+	// retained session is still live, submissions are rejected with 429 —
+	// the memory guard that keeps a hammered server from growing without
 	// bound.
 	MaxSessions int
-	// SimWorkers is the default sim_workers for sessions that do not set
-	// one: the simulator's parallel window engine worker count. Results
-	// and ledger keys are identical at any value, so operators can turn
-	// it on fleet-wide without invalidating recorded measurements.
-	SimWorkers int
 	// StreamSubscribers bounds concurrent SSE subscribers on the
 	// server-wide /eventsz stream and on each session's event stream
 	// (<= 0 means obs.DefaultBusSubscribers). The bound is what keeps a
@@ -94,6 +90,7 @@ type Server struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	order    []string // session ids in submission order
+	finished []string // ids of finished sessions, in finishing order
 	nextID   int64
 
 	// metricsMu guards the registry: obs.Registry is single-goroutine by
@@ -240,9 +237,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metric(func(m *obs.Registry) { m.Counter("serve.rejected_invalid").Inc() })
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
-	}
-	if req.Spec.SimWorkers == 0 {
-		req.Spec.SimWorkers = s.cfg.SimWorkers
 	}
 	req.Spec.Normalize()
 	if err := req.Spec.Validate(); err != nil {
@@ -454,6 +448,9 @@ func (s *Server) finishSession(sess *session, res sched.Result[workload.Measurem
 	}
 	state := sess.state
 	sess.mu.Unlock()
+	s.mu.Lock()
+	s.finished = append(s.finished, sess.id)
+	s.mu.Unlock()
 
 	s.metric(func(m *obs.Registry) {
 		switch state {
@@ -494,27 +491,23 @@ type EndEvent struct {
 	Error string `json:"error,omitempty"`
 }
 
-// admit registers the session under a fresh id, evicting the oldest
-// finished sessions beyond the retention bound. It refuses (false) only
+// admit registers the session under a fresh id, evicting the sessions
+// that finished longest ago beyond the retention bound. It refuses (false) only
 // when the store is full of live sessions.
 func (s *Server) admit(sess *session) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		evicted := false
-		for i := 0; i < len(s.order) && len(s.sessions) >= s.cfg.MaxSessions; i++ {
-			id := s.order[i]
-			old, ok := s.sessions[id]
-			if !ok || !old.stateNow().Terminal() {
-				continue
-			}
-			delete(s.sessions, id)
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			i--
-			evicted = true
-		}
-		if !evicted && len(s.sessions) >= s.cfg.MaxSessions {
+	// Evict in finishing order, not submission order: a long session that
+	// has just finished is the one its client is about to read.
+	for len(s.sessions) >= s.cfg.MaxSessions {
+		if len(s.finished) == 0 {
 			return false
+		}
+		id := s.finished[0]
+		s.finished = s.finished[1:]
+		if _, ok := s.sessions[id]; ok {
+			delete(s.sessions, id)
+			s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
 		}
 	}
 	s.nextID++
@@ -641,7 +634,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if info.Cached {
-		writeError(w, http.StatusNotFound, "session %s was answered from the run ledger; artifacts exist only for executed sessions", info.ID)
+		writeError(w, http.StatusNotFound, "session %s was answered from the run ledger or an identical in-flight session; artifacts exist only for executed sessions", info.ID)
 		return
 	}
 	kind := r.PathValue("kind")

@@ -605,6 +605,46 @@ func TestLedgerHitAnswersRepeatSession(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestInflightDuplicateSessionCached: a session submitted while an
+// identical one is still running waits for it instead of executing again,
+// even with no ledger. It reports cached: true with the running session's
+// result, and its artifacts answer 404 as a ledger answer's do.
+func TestInflightDuplicateSessionCached(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	body := map[string]any{
+		"workload": "daxpy", "threads": 2, "daxpy_ws": 256 << 10, "daxpy_reps": 100,
+		"strategy":  "adaptive",
+		"artifacts": map[string]bool{"trace": true, "metrics": true, "decisions": true},
+	}
+	first := submit(t, ts.URL, body)
+	waitFor(t, ts.URL, first.ID, func(i SessionInfo) bool { return i.State == StateRunning }, "running")
+	second := submit(t, ts.URL, body)
+	if second.Key != first.Key {
+		t.Fatalf("identical requests got keys %s and %s", first.Key, second.Key)
+	}
+	done := waitTerminal(t, ts.URL, first.ID)
+	dup := waitTerminal(t, ts.URL, second.ID)
+	if done.State != StateDone || done.Cached {
+		t.Fatalf("first session: state %s cached %v, want an execution", done.State, done.Cached)
+	}
+	if dup.State != StateDone || !dup.Cached {
+		t.Fatalf("second session: state %s cached %v, want done and cached", dup.State, dup.Cached)
+	}
+	if dup.Result == nil || *dup.Result != *done.Result {
+		t.Fatalf("coalesced result differs: %+v vs %+v", dup.Result, done.Result)
+	}
+	for _, kind := range []string{"trace", "metrics", "decisions"} {
+		resp, err := http.Get(ts.URL + "/sessions/" + second.ID + "/artifacts/" + kind)
+		if err != nil {
+			t.Fatalf("GET artifact %s: %v", kind, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("artifact %s of the coalesced session: status %d, want 404", kind, resp.StatusCode)
+		}
+	}
+}
+
 // TestSessionRetentionEviction bounds the retained-session map: old
 // finished sessions are evicted, and a store full of live sessions
 // rejects with 429.
@@ -641,59 +681,68 @@ func TestSessionRetentionEviction(t *testing.T) {
 	}
 }
 
-// TestSessionSimWorkersByteIdentical: the same session run serially and
-// under the parallel window engine returns byte-identical result
-// documents and shares one ledger key. Also checks the server-wide
-// Config.SimWorkers default is applied to sessions that don't set one.
+// TestSessionSimWorkersByteIdentical: sim_workers is accepted over HTTP
+// and ignored. A session that sets it gets the same ledger key and a
+// byte-identical result document as the same spec without it, and an
+// out-of-range value is still a 400.
 func TestSessionSimWorkersByteIdentical(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, SimWorkers: 4})
-	base := map[string]any{
-		"workload": "daxpy", "threads": 4, "daxpy_ws": 16 << 10, "daxpy_reps": 5,
-		"strategy": "adaptive",
-	}
-	fetch := func(extra map[string]any) (SessionInfo, []byte) {
-		body := map[string]any{}
-		for k, v := range base {
-			body[k] = v
+	_, ts := newTestServer(t, Config{Workers: 2})
+	run := func(w any) (SessionInfo, []byte) {
+		body := map[string]any{"workload": "daxpy", "threads": 4, "daxpy_ws": 16 << 10,
+			"daxpy_reps": 5, "strategy": "adaptive"}
+		if w != nil {
+			body["sim_workers"] = w
 		}
-		for k, v := range extra {
-			body[k] = v
+		resp := postJSON(t, ts.URL+"/sessions", body)
+		if resp.StatusCode != http.StatusAccepted {
+			resp.Body.Close()
+			return SessionInfo{}, nil
 		}
-		info := submit(t, ts.URL, body)
-		done := waitTerminal(t, ts.URL, info.ID)
-		if done.State != StateDone {
-			t.Fatalf("state = %s (err %q)", done.State, done.Error)
+		info := decodeBody[SessionInfo](t, resp)
+		waitTerminal(t, ts.URL, info.ID)
+		res, err := http.Get(ts.URL + "/sessions/" + info.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
 		}
-		resp, err := http.Get(ts.URL + "/sessions/" + info.ID + "/result")
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("result: %v status %d", err, resp.StatusCode)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		b, _ := io.ReadAll(res.Body)
+		res.Body.Close()
 		return info, b
 	}
+	plain, plainRes := run(nil)
+	for _, w := range []int{4, MaxSimWorkers, -1, MaxSimWorkers + 1} {
+		info, res := run(w)
+		inRange := w >= 0 && w <= MaxSimWorkers
+		if inRange && (info.Key != plain.Key || !bytes.Equal(res, plainRes)) {
+			t.Errorf("sim_workers=%d: key %s result %s, want key %s result %s", w, info.Key, res, plain.Key, plainRes)
+		}
+		if !inRange && info.ID != "" {
+			t.Errorf("sim_workers=%d accepted, want 400", w)
+		}
+	}
+}
 
-	// sim_workers -1 opts out of the server default and forces serial.
-	// (Validate rejects -1, so normalize it here the way handleSubmit
-	// would have to; instead submit an explicit 1 — serial engine.)
-	serialInfo, serialRes := fetch(map[string]any{"sim_workers": 1})
-	for _, w := range []int{2, 8} {
-		info, res := fetch(map[string]any{"sim_workers": w})
-		if info.Key != serialInfo.Key {
-			t.Errorf("sim_workers=%d forked the ledger key: %s != %s", w, info.Key, serialInfo.Key)
+// TestEvictionInFinishingOrder: at the retention bound the session that
+// finished longest ago goes first, not the one submitted first — a long
+// session that has just finished stays readable by its client.
+func TestEvictionInFinishingOrder(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, MaxSessions: 2})
+	long := submit(t, ts.URL, longSpec())
+	waitFor(t, ts.URL, long.ID, func(i SessionInfo) bool { return i.State == StateRunning }, "running")
+	short := submit(t, ts.URL, shortSpec())
+	waitTerminal(t, ts.URL, short.ID)
+	postJSON(t, ts.URL+"/sessions/"+long.ID+"/cancel", nil).Body.Close()
+	waitTerminal(t, ts.URL, long.ID)
+
+	waitTerminal(t, ts.URL, submit(t, ts.URL, shortSpec()).ID)
+	for id, want := range map[string]int{short.ID: http.StatusNotFound, long.ID: http.StatusOK} {
+		resp, err := http.Get(ts.URL + "/sessions/" + id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(res, serialRes) {
-			t.Errorf("sim_workers=%d result differs from serial:\nparallel: %s\nserial:   %s", w, res, serialRes)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", id, resp.StatusCode, want)
 		}
-	}
-	// No sim_workers in the request: the server default (4) applies, and
-	// the result is still byte-identical to serial.
-	defInfo, defRes := fetch(nil)
-	if defInfo.Key != serialInfo.Key {
-		t.Errorf("server-default sim_workers forked the ledger key")
-	}
-	if !bytes.Equal(defRes, serialRes) {
-		t.Errorf("server-default sim_workers result differs from serial")
 	}
 }
 

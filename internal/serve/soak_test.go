@@ -53,12 +53,10 @@ func TestSoak(t *testing.T) {
 	})
 
 	// A small rotation of specs: repeats hit the ledger, distinct sizes
-	// exercise the build cache, the adaptive entry exercises COBRA, and the
-	// sim_workers entries run the parallel window engine under soak load.
-	// The last entry repeats the second spec at sim_workers=4: both hash to
-	// one ledger key (worker count is execution strategy, not machine
-	// model), so the soak also exercises serial and parallel runs sharing
-	// a ledger entry.
+	// exercise the build cache, and the adaptive entry exercises COBRA. The
+	// sim_workers entries test "accepted, ignored, same ledger key": the
+	// field validates and is otherwise ignored, so the second of them
+	// repeats the second spec and shares its ledger entry.
 	specs := []map[string]any{
 		{"workload": "daxpy", "threads": 1, "daxpy_ws": 8 << 10, "daxpy_reps": 3},
 		{"workload": "daxpy", "threads": 2, "daxpy_ws": 16 << 10, "daxpy_reps": 3},

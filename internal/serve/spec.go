@@ -59,12 +59,10 @@ type Spec struct {
 	DaxpyWS int64 `json:"daxpy_ws,omitempty"`
 	// DaxpyReps is the DAXPY outer repetition count; 0 defaults to 100.
 	DaxpyReps int `json:"daxpy_reps,omitempty"`
-	// SimWorkers is the host worker-goroutine count for the simulator's
-	// parallel window engine; 0 or 1 runs the serial engine. Results are
-	// byte-identical at any value, so it deliberately does NOT contribute
-	// to the session's ledger content hash (machine.Config excludes it
-	// from hashing): the same session at different worker counts shares
-	// one ledger entry.
+	// SimWorkers is accepted, range-checked and ignored. It once selected
+	// a parallel simulation engine, since removed; requests are decoded
+	// with unknown fields disallowed, so the field stays for old clients.
+	// It never reaches the build config, so it cannot change a ledger key.
 	SimWorkers int `json:"sim_workers,omitempty"`
 }
 
@@ -81,8 +79,7 @@ type NodeSpec struct {
 // runtime, which is what lets cobrad promise that a bounded queue of
 // validated sessions cannot OOM the process.
 const (
-	// MaxThreads was 16 until the parallel window engine made big-machine
-	// configs affordable; 32 opens the 16- and 32-CPU NUMA topologies.
+	// MaxThreads of 32 admits the 16- and 32-CPU NUMA topologies.
 	MaxThreads    = 32
 	MaxSimWorkers = 32
 	MinDaxpyWS    = 4 << 10
@@ -362,8 +359,6 @@ func (s *Spec) buildConfig() (workload.BuildConfig, error) {
 			{AtCycle: s.MigrateAt, CPU: s.MigrateCPU, Node: s.MigrateNode},
 		}
 	}
-	// Execution strategy, not machine model: hashed-out of the ledger key.
-	bc.Machine.SimWorkers = s.SimWorkers
 	switch s.Strategy {
 	case "off":
 	case "monitor":

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -70,76 +71,49 @@ func TestSpecEngineKeyStability(t *testing.T) {
 	}
 }
 
-// TestSpecSimWorkers: sim_workers validates in [0, MaxSimWorkers],
-// propagates to the machine config, and — because it selects an execution
-// strategy rather than a machine model — never perturbs the session's
-// ledger content hash: the same spec at any worker count shares one
-// ledger entry.
+// TestSpecSimWorkers: sim_workers validates in [0, MaxSimWorkers] and is
+// otherwise ignored: the same spec at any in-range value shares one
+// ledger key. Values outside the range are rejected.
 func TestSpecSimWorkers(t *testing.T) {
 	base := &Spec{Workload: "daxpy"}
 	base.Normalize()
-	if err := base.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	baseKey, err := base.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 2, 8, MaxSimWorkers} {
+	for _, w := range []int{-1, 0, 1, 2, 8, MaxSimWorkers, MaxSimWorkers + 1} {
 		s := &Spec{Workload: "daxpy", SimWorkers: w}
 		s.Normalize()
-		if err := s.Validate(); err != nil {
-			t.Fatalf("sim_workers=%d: %v", w, err)
+		err := s.Validate()
+		if inRange := w >= 0 && w <= MaxSimWorkers; inRange != (err == nil) {
+			t.Fatalf("sim_workers=%d: Validate = %v", w, err)
 		}
-		bc, err := s.buildConfig()
-		if err != nil {
-			t.Fatalf("sim_workers=%d: %v", w, err)
-		}
-		if bc.Machine.SimWorkers != w {
-			t.Fatalf("sim_workers=%d: machine config got %d", w, bc.Machine.SimWorkers)
-		}
-		key, err := s.Key()
-		if err != nil {
-			t.Fatalf("sim_workers=%d: %v", w, err)
-		}
-		if key != baseKey {
-			t.Fatalf("sim_workers=%d forked the ledger key: %s != %s", w, key, baseKey)
-		}
-	}
-	for _, w := range []int{-1, MaxSimWorkers + 1} {
-		s := &Spec{Workload: "daxpy", SimWorkers: w}
-		s.Normalize()
-		if err := s.Validate(); err == nil {
-			t.Fatalf("sim_workers=%d validated, want range error", w)
+		if key, err := s.Key(); err != nil || key != baseKey {
+			t.Fatalf("sim_workers=%d: key %s (%v), want %s", w, key, err, baseKey)
 		}
 	}
 }
 
-// TestSpecSimWorkersKeyStability: machine.Config must exclude SimWorkers
-// from its JSON encoding (json:"-"), which is what KeyOf hashes — the
-// mechanism behind the key equality asserted above.
+// TestSpecSimWorkersKeyStability: sim_workers never reaches the build
+// config, which is what the ledger key hashes — the mechanism behind the
+// key equality asserted above.
 func TestSpecSimWorkersKeyStability(t *testing.T) {
-	s := &Spec{Workload: "daxpy", SimWorkers: 8}
-	s.Normalize()
-	bc, err := s.buildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(bc.Machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(strings.ToLower(string(b)), "simworkers") {
-		t.Fatalf("machine config leaks SimWorkers into content hashes: %s", b)
+	plain, workers := &Spec{Workload: "daxpy"}, &Spec{Workload: "daxpy", SimWorkers: 8}
+	plain.Normalize()
+	workers.Normalize()
+	want, err1 := plain.buildConfig()
+	got, err2 := workers.buildConfig()
+	if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("sim_workers=8 changed the build config (%v, %v):\ngot:  %+v\nwant: %+v", err1, err2, got, want)
 	}
 }
 
-// TestSpecBigNUMATopologies: the 16- and 32-CPU NUMA machines opened by
-// the MaxThreads bump validate and build end-to-end with the expected
-// CPU count.
+// TestSpecBigNUMATopologies: the 16- and 32-CPU NUMA machines validate,
+// build with the expected CPU count, and run a small DAXPY through
+// Measure — which verifies the kernel's result — on the serial engine.
 func TestSpecBigNUMATopologies(t *testing.T) {
 	for _, n := range []int{16, 32} {
-		s := &Spec{Workload: "daxpy", Threads: n, Machine: "numa", SimWorkers: 4}
+		s := &Spec{Workload: "daxpy", Threads: n, Machine: "numa", DaxpyWS: 32 << 10, DaxpyReps: 2}
 		s.Normalize()
 		if err := s.Validate(); err != nil {
 			t.Fatalf("numa threads=%d: %v", n, err)
@@ -150,6 +124,18 @@ func TestSpecBigNUMATopologies(t *testing.T) {
 		}
 		if bc.Machine.Mem.NumCPUs != n {
 			t.Fatalf("numa threads=%d: machine has %d CPUs", n, bc.Machine.Mem.NumCPUs)
+		}
+		inst, err := s.Instantiate(nil, nil)
+		if err != nil {
+			t.Fatalf("numa threads=%d: %v", n, err)
+		}
+		meas, err := inst.Measure()
+		inst.Release()
+		if err != nil {
+			t.Fatalf("numa threads=%d: %v", n, err)
+		}
+		if meas.Threads != n || meas.Cycles <= 0 {
+			t.Fatalf("numa threads=%d: measured %d threads, %d cycles", n, meas.Threads, meas.Cycles)
 		}
 	}
 	s := &Spec{Workload: "daxpy", Threads: MaxThreads + 1, Machine: "numa"}
